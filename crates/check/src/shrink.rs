@@ -29,7 +29,9 @@
 //!    labels the failure doesn't depend on to plain `assign_l`. Labelled
 //!    hops can't compose with each other, so without this step a chain
 //!    like `u →param_6→ v →ld(1)→ w` is contraction-proof even when the
-//!    labels are incidental.
+//!    labels are incidental. `new` edges keep their label: an
+//!    `assign_l` leaving an object is a graph no frontend produces, on
+//!    which points-to and flows-to stop being duals.
 //! 6. **Contract chains**: bypass a non-query node by composing each
 //!    incoming/outgoing edge pair through a plain `assign_l` hop (`u
 //!    →ld(f)→ v →assign_l→ w` becomes `u →ld(f)→ w`, etc.). Pure edge
@@ -39,7 +41,9 @@
 //! 7. **Merge node pairs** on the now-small graph: redirect every edge
 //!    at one node onto another; duplicate edges and self-loops collapse.
 //!    Catches "two parallel copies of the same role" residue that
-//!    neither deletion nor contraction can reduce.
+//!    neither deletion nor contraction can reduce. Only an object merges
+//!    with an object and a variable with a variable, for the same reason
+//!    `new` labels are kept.
 //! 8. **Compact** away orphan nodes (remapping queries), adopted only if
 //!    the failure survives the id remap.
 //!
@@ -99,7 +103,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
 
         // 2. Configuration simplification.
         type Step = fn(&mut Scenario);
-        let steps: [Step; 13] = [
+        let steps: [Step; 11] = [
             |s| s.backend = Backend::Simulated,
             |s| s.threads = 1,
             |s| s.fetch_cost = 0,
@@ -112,9 +116,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                     _ => Mode::Naive,
                 }
             },
-            |s| s.engine = parcfl_runtime::Engine::Demand,
             |s| s.solver.state = parcfl_core::StateBackend::default(),
-            |s| s.solver.packed = true,
             |s| s.trace_level = parcfl_runtime::TraceLevel::Off,
             |s| s.deltas.clear(),
             |s| s.solver.chaos_skip_invalidation = false,
@@ -129,9 +131,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                 && candidate.store_cap == cur.store_cap
                 && candidate.solver.budget == cur.solver.budget
                 && candidate.mode == cur.mode
-                && candidate.engine == cur.engine
                 && candidate.solver.state == cur.solver.state
-                && candidate.solver.packed == cur.solver.packed
                 && candidate.trace_level == cur.trace_level
                 && candidate.deltas == cur.deltas
                 && candidate.solver.chaos_skip_invalidation == cur.solver.chaos_skip_invalidation
@@ -202,7 +202,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
         while j > 0 {
             j -= 1;
             let mut edges = cur.pag.edges().to_vec();
-            if edges[j].kind == EdgeKind::AssignLocal {
+            if matches!(edges[j].kind, EdgeKind::AssignLocal | EdgeKind::New) {
                 continue;
             }
             edges[j].kind = EdgeKind::AssignLocal;
@@ -257,7 +257,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                     continue;
                 }
                 for b in cur.pag.node_ids() {
-                    if a == b {
+                    if a == b || cur.pag.kind(a).is_object() != cur.pag.kind(b).is_object() {
                         continue;
                     }
                     let Some(edges) = merge_nodes(&cur.pag, a, b) else {
@@ -382,4 +382,44 @@ fn bypass_node(pag: &Pag, v: NodeId) -> Option<Vec<Edge>> {
         .collect();
     edges.extend(composed);
     Some(edges)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parcfl_core::SolverConfig;
+    use parcfl_runtime::TraceLevel;
+    use parcfl_synth::{build_bench, Profile};
+
+    /// Whatever the predicate, the shrinker stays inside the graphs the
+    /// frontend produces: the edges leaving objects are exactly the `new`
+    /// edges. Here a scenario "fails" while any edge leaves an object, so
+    /// the shrinker keeps one and tries every rewrite on it.
+    #[test]
+    fn shrinking_keeps_new_edges_leaving_objects() {
+        let b = build_bench(&Profile::tiny(3));
+        let scenario = Scenario {
+            pag: b.pag,
+            queries: b.queries[..1].to_vec(),
+            mode: Mode::Naive,
+            backend: Backend::Simulated,
+            threads: 1,
+            solver: SolverConfig::default(),
+            fetch_cost: 0,
+            perturb: None,
+            store_cap: None,
+            trace_level: TraceLevel::Off,
+            deltas: vec![],
+        };
+        let fails = |s: &Scenario| s.pag.edges().iter().any(|e| s.pag.kind(e.src).is_object());
+        let (small, _) = shrink(scenario, &fails);
+        assert!(fails(&small));
+        for e in small.pag.edges() {
+            assert_eq!(
+                small.pag.kind(e.src).is_object(),
+                e.kind == EdgeKind::New,
+                "{e:?}"
+            );
+        }
+    }
 }

@@ -20,10 +20,7 @@
 //!   hot loop selects between (DESIGN.md §11);
 //! * [`counters`] — cache-padded atomic statistics counters and the
 //!   named-counter registry ([`counters::CounterSet`]) behind the
-//!   Prometheus exporter;
-//! * [`pool::SweepPool`] — the persistent park-and-wake worker pool the
-//!   matrix engine's frontier sweeps dispatch to (spawn once per
-//!   solver/session, epoch-barrier wakes per wave).
+//!   Prometheus exporter.
 
 #![warn(missing_docs)]
 
@@ -31,16 +28,14 @@ pub mod bitset;
 pub mod counters;
 pub mod fxhash;
 pub mod interner;
-pub mod pool;
 pub mod sharded_map;
 pub mod stealing;
 pub mod worklist;
 
-pub use bitset::{kernel, Chunk, ChunkedBitset, DenseVisitSet, HashVisitSet, StateSet, CHUNK_BITS};
+pub use bitset::{ChunkedBitset, DenseVisitSet, HashVisitSet, StateSet};
 pub use counters::{Counter, CounterSet, MaxTracker};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use interner::{CtxId, CtxInterner};
-pub use pool::SweepPool;
 pub use sharded_map::ShardedMap;
 pub use stealing::{StealQueues, WorkerObs};
 pub use worklist::SharedWorkList;

@@ -40,30 +40,6 @@ pub struct QueryStats {
     /// words: exact allocated bitset words under the dense backend, a
     /// two-words-per-entry estimate under the hash backend (DESIGN.md §11).
     pub state_words: u64,
-    /// Parallel virtual time of the query in traversal steps: the
-    /// critical-path scan count when frontier sweeps are partitioned
-    /// across workers (the matrix engine's per-wave `max` over worker
-    /// shares — DESIGN.md §11). Equals `traversed_steps` at one worker;
-    /// 0 for the demand solver, whose makespan the runners model instead.
-    pub span_steps: u64,
-    /// Bit-packed adjacency rows gathered by matrix-engine sweeps across
-    /// the payload-free edge classes (DESIGN.md §9). Deterministic for a
-    /// fixed configuration: identical at every worker count, with or
-    /// without a pool. 0 for the demand solver.
-    pub packed_gathers: u64,
-    /// Payload-free rows the matrix engine walked through the scalar CSR
-    /// slices instead — the class was left unpacked or the row fell below
-    /// the packing threshold. Deterministic like `packed_gathers`.
-    pub csr_fallback_rows: u64,
-    /// Nanoseconds the matrix engine spent dispatching pooled sweep waves
-    /// (the park-and-wake barrier cost, summed over the query's waves).
-    /// Wall-clock derived, so noisy; 0 without a pool.
-    pub pool_dispatch_ns: u64,
-    /// Sweep step attribution per [`parcfl_pag::EdgeClass`] (indexed by
-    /// `class as usize`): scalar CSR walks count one per edge applied,
-    /// packed gathers one per row, alias obligations one per pend. 0 for
-    /// the demand solver.
-    pub sweep_class_steps: [u64; parcfl_pag::EDGE_CLASSES],
 }
 
 /// Result of one points-to (or flows-to) query.

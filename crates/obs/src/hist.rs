@@ -133,16 +133,6 @@ pub struct ObsHists {
     pub lock_wait: LogHistogram,
     /// Dequeue-to-completion makespan of each query group.
     pub group_makespan: LogHistogram,
-    /// Matrix-engine wave width in dirty-row scans (one sample per
-    /// frontier wave; always on, independent of the trace level).
-    pub wave_width: LogHistogram,
-    /// Sweep segments per fanned-out wave — how many worker shares the
-    /// partitioner produced (one sample per wave).
-    pub wave_segments: LogHistogram,
-    /// Sweep-pool dispatch latency in nanoseconds: from handing a wave to
-    /// `SweepPool::run` until every helper share has checked in (one
-    /// sample per pooled wave).
-    pub pool_dispatch: LogHistogram,
 }
 
 impl ObsHists {
@@ -152,9 +142,6 @@ impl ObsHists {
         self.steal_wait.merge(&other.steal_wait);
         self.lock_wait.merge(&other.lock_wait);
         self.group_makespan.merge(&other.group_makespan);
-        self.wave_width.merge(&other.wave_width);
-        self.wave_segments.merge(&other.wave_segments);
-        self.pool_dispatch.merge(&other.pool_dispatch);
     }
 
     /// Whether no histogram holds any sample.
@@ -163,9 +150,6 @@ impl ObsHists {
             && self.steal_wait.is_empty()
             && self.lock_wait.is_empty()
             && self.group_makespan.is_empty()
-            && self.wave_width.is_empty()
-            && self.wave_segments.is_empty()
-            && self.pool_dispatch.is_empty()
     }
 }
 
@@ -272,22 +256,12 @@ mod tests {
         b.query_latency.record(9);
         b.steal_wait.record(3);
         b.group_makespan.record(100);
-        b.wave_width.record(512);
-        b.wave_segments.record(4);
-        b.pool_dispatch.record(2_000);
         a.merge(&b);
         assert_eq!(a.query_latency.count(), 2);
         assert_eq!(a.lock_wait.count(), 1);
         assert_eq!(a.steal_wait.count(), 1);
         assert_eq!(a.group_makespan.count(), 1);
-        assert_eq!(a.wave_width.count(), 1);
-        assert_eq!(a.wave_segments.count(), 1);
-        assert_eq!(a.pool_dispatch.count(), 1);
         assert!(!a.is_empty());
         assert!(ObsHists::default().is_empty());
-
-        let mut c = ObsHists::default();
-        c.wave_width.record(1);
-        assert!(!c.is_empty(), "matrix histograms count toward is_empty");
     }
 }

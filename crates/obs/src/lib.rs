@@ -113,29 +113,6 @@ pub enum EventKind {
     BatchStart,
     /// A session batch ended. `a` = batch index, `b` = queries answered.
     BatchEnd,
-    /// A matrix-engine frontier wave began. `a` = wave id (monotone within
-    /// a query), `b` = wave width (dirty-row scan popcount).
-    WaveStart,
-    /// A matrix-engine frontier wave ended. `a` = wave id, `b` = segments
-    /// the wave was partitioned into (1 = inline, no fan-out).
-    WaveEnd,
-    /// One worker share of a partitioned sweep. `a` = part index within
-    /// the wave, `b` = scans in the part.
-    SweepSegment,
-    /// The persistent sweep pool dispatched a wave. `a` = parts
-    /// dispatched, `b` = dispatch latency in ns (saturated to `u32::MAX`).
-    PoolWake,
-    /// The sweep pool finished a wave and its helpers re-parked. `a` =
-    /// parts completed.
-    PoolPark,
-    /// A payload-free edge class was scanned through a bit-packed
-    /// adjacency row. `a` = edge class (0 new, 1 assign-local,
-    /// 2 assign-global), `b` = packed rows gathered.
-    PackedGather,
-    /// A payload-free edge class fell back to the scalar CSR walk (no
-    /// packed row for the source). `a` = edge class as in
-    /// [`EventKind::PackedGather`], `b` = rows walked.
-    CsrFallback,
 }
 
 impl EventKind {
@@ -150,8 +127,6 @@ impl EventKind {
                 | EventKind::GroupDequeued
                 | EventKind::BatchStart
                 | EventKind::BatchEnd
-                | EventKind::WaveStart
-                | EventKind::WaveEnd
         )
     }
 
@@ -170,13 +145,6 @@ impl EventKind {
             EventKind::EarlyTermination => "early_termination",
             EventKind::BatchStart => "batch_start",
             EventKind::BatchEnd => "batch_end",
-            EventKind::WaveStart => "wave_start",
-            EventKind::WaveEnd => "wave_end",
-            EventKind::SweepSegment => "sweep_segment",
-            EventKind::PoolWake => "pool_wake",
-            EventKind::PoolPark => "pool_park",
-            EventKind::PackedGather => "packed_gather",
-            EventKind::CsrFallback => "csr_fallback",
         }
     }
 }
@@ -219,19 +187,9 @@ mod tests {
     fn span_kinds() {
         assert!(EventKind::QueryStart.is_span());
         assert!(EventKind::BatchEnd.is_span());
-        assert!(EventKind::WaveStart.is_span());
-        assert!(EventKind::WaveEnd.is_span());
         assert!(!EventKind::JmpHit.is_span());
         assert!(!EventKind::StealAttempt.is_span());
-        assert!(!EventKind::SweepSegment.is_span());
-        assert!(!EventKind::PoolWake.is_span());
-        assert!(!EventKind::PoolPark.is_span());
-        assert!(!EventKind::PackedGather.is_span());
-        assert!(!EventKind::CsrFallback.is_span());
         assert_eq!(EventKind::Eviction.label(), "eviction");
-        assert_eq!(EventKind::WaveStart.label(), "wave_start");
-        assert_eq!(EventKind::PoolWake.label(), "pool_wake");
-        assert_eq!(EventKind::CsrFallback.label(), "csr_fallback");
     }
 
     #[test]

@@ -36,63 +36,6 @@ impl Mode {
     }
 }
 
-/// Which solver core answers the batch (DESIGN.md §11).
-///
-/// Orthogonal to [`Backend`]: `Backend` picks how demand-solver queries
-/// are *dispatched* (threads vs. the virtual-time simulator), while
-/// `Engine` picks the solver itself. The matrix engine evaluates the
-/// batch query-by-query but honours `RunConfig::threads` twice over
-/// (DESIGN.md §11): each frontier sweep is partitioned across that many
-/// workers, and the batch makespan is a deterministic list schedule of
-/// the queries over the same worker count, with memo-sharing edges as
-/// precedence constraints. `Mode`/`Backend`/`stealing` describe
-/// demand-solver scheduling and stay inert when the matrix engine is
-/// selected.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// The paper's demand-driven work-list solver (the default).
-    #[default]
-    Demand,
-    /// The whole-program boolean-semiring backend
-    /// ([`parcfl_core::MatrixSolver`]): batch-memoised per-kind
-    /// matrix products. Completed answers are bit-identical to `Demand`.
-    Matrix,
-    /// Pick per batch with the density heuristic
-    /// ([`crate::matrix_pays_off`]): matrix for large batches that cover
-    /// much of the program, demand otherwise.
-    Auto,
-}
-
-impl Engine {
-    /// Stable lower-case name (CLI flags, snapshots, JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Demand => "demand",
-            Engine::Matrix => "matrix",
-            Engine::Auto => "auto",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "demand" => Ok(Engine::Demand),
-            "matrix" => Ok(Engine::Matrix),
-            "auto" => Ok(Engine::Auto),
-            other => Err(format!("unknown engine `{other}` (demand|matrix|auto)")),
-        }
-    }
-}
-
 /// How the parallel run executes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
@@ -170,11 +113,6 @@ pub struct RunConfig {
     /// fetch latency and eviction timing (see [`SimPerturb`]). `None`
     /// (the default) is the classic deterministic simulator.
     pub perturb: Option<SimPerturb>,
-    /// Solver core for the batch (see [`Engine`]). `Demand` (the default)
-    /// keeps the paper's per-query work-list solver; `Matrix` answers the
-    /// whole batch on [`parcfl_core::MatrixSolver`]; `Auto` decides per
-    /// batch from query density.
-    pub engine: Engine,
 }
 
 impl RunConfig {
@@ -190,7 +128,6 @@ impl RunConfig {
             stealing: false,
             tracing: TraceLevel::Off,
             perturb: None,
-            engine: Engine::default(),
         }
     }
 
@@ -218,12 +155,6 @@ impl RunConfig {
         self
     }
 
-    /// Selects the solver engine for the batch.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// The solver configuration this run will actually use (mode applied).
     pub fn effective_solver(&self) -> SolverConfig {
         let mut s = self.solver.clone();
@@ -247,17 +178,6 @@ mod tests {
         assert_eq!(Mode::Naive.label(), "naive");
         assert_eq!(Mode::DataSharing.label(), "D");
         assert_eq!(Mode::DataSharingSched.label(), "DQ");
-    }
-
-    #[test]
-    fn engine_names_round_trip() {
-        for e in [Engine::Demand, Engine::Matrix, Engine::Auto] {
-            assert_eq!(e.name().parse::<Engine>().unwrap(), e);
-        }
-        assert!("gpu".parse::<Engine>().is_err());
-        let cfg = RunConfig::new(Mode::Naive, 1, Backend::Simulated);
-        assert_eq!(cfg.engine, Engine::Demand, "demand is the default");
-        assert_eq!(cfg.with_engine(Engine::Matrix).engine, Engine::Matrix);
     }
 
     #[test]

@@ -174,7 +174,6 @@ pub fn run_simulated_batch(
     stats.jmp_bytes = store.approx_bytes();
     stats.avg_group_size = schedule.avg_group_size;
     stats.interner_ctxs = store.interner().len();
-    stats.engine_dispatched = Some(crate::Engine::Demand);
     let trace = cfg.tracing.enabled().then(|| RunTrace {
         real_time: false,
         workers: recorders

@@ -59,26 +59,6 @@ pub struct RunStats {
     pub interner_ctxs: usize,
     /// Virtual-time makespan (simulated backend) — the parallel "runtime".
     pub makespan: u64,
-    /// The solver engine that actually answered this run — dispatch
-    /// transparency for `Engine::Auto` and for callers that configure an
-    /// engine a layer below them silently overrides. Every batch runner
-    /// records it (`None` only for empty/default accumulators); like the
-    /// other gauges, merging takes the latest batch's observation.
-    pub engine_dispatched: Option<crate::Engine>,
-    /// Sweep helper threads spawned by the matrix engine's persistent
-    /// worker pool over its lifetime, as observed at the end of the batch
-    /// (`workers - 1` for a live pool; 0 for demand engines or
-    /// single-threaded runs). A **gauge**: session merges take the latest
-    /// batch's observation, so a multi-batch session whose value stays at
-    /// `workers - 1` provably reused one pool instead of respawning per
-    /// batch (or, as before PR 8, per wave).
-    pub pool_spawns: u64,
-    /// Cumulative park-and-wake barriers the pool dispatched (parallel
-    /// waves fanned out to the helpers), observed at the end of the batch.
-    /// Also a gauge — it grows monotonically over a session while
-    /// `pool_spawns` stays flat, which is the reuse signature
-    /// `BENCH_solver.json` records per bench.
-    pub pool_wakes: u64,
     /// Wall-clock duration of the run.
     pub wall: std::time::Duration,
     /// Average group size of the schedule (`S_g`; 1.0 when unscheduled).
@@ -92,32 +72,12 @@ pub struct RunStats {
     /// jmp entries published during this run (finished + unfinished
     /// publications that won their race).
     pub jmp_inserts: u64,
-    /// Bit-packed adjacency rows gathered by matrix-engine sweeps
-    /// (summed over queries; 0 for demand engines). Deterministic per
-    /// configuration — a `bench-diff` exact gate.
-    pub packed_gathers: u64,
-    /// Payload-free rows the matrix engine walked through the scalar CSR
-    /// slices instead of a packed gather. Deterministic like
-    /// `packed_gathers`.
-    pub csr_fallback_rows: u64,
-    /// Nanoseconds the matrix engine spent dispatching pooled sweep
-    /// waves, summed over queries. Wall-clock derived (noisy); 0 without
-    /// a pool.
-    pub pool_dispatch_ns: u64,
-    /// Sweep step attribution per [`parcfl_pag::EdgeClass`] (index =
-    /// `class as usize`), summed over queries: CSR edges, packed row
-    /// gathers and alias pends, broken out by edge class. All zero for
-    /// demand engines.
-    pub sweep_class_steps: [u64; parcfl_pag::EDGE_CLASSES],
     /// Jmp entries dropped by selective invalidation across every
     /// [`crate::AnalysisSession::apply_delta`] folded in. A **counter**
     /// (sums across batches/deltas), not a gauge: each invalidation is a
     /// distinct event, unlike `store_entries`' residency snapshots.
     pub invalidated_jmps: u64,
-    /// Matrix-memo closures dropped by selective invalidation, summed the
-    /// same way as `invalidated_jmps`.
-    pub invalidated_memos: u64,
-    /// Warm entries (jmp + memo) that *survived* selective invalidation,
+    /// Warm jmp entries that *survived* selective invalidation,
     /// summed over deltas — the reuse the footprints bought. Also a
     /// counter: an entry surviving two deltas is two retention events.
     pub retained_warm: u64,
@@ -148,16 +108,6 @@ impl RunStats {
         self.peak_mem_items = self.peak_mem_items.max(qs.mem_items);
         self.peak_state_words = self.peak_state_words.max(qs.state_words);
         self.jmp_inserts += qs.finished_published + qs.unfinished_published;
-        self.packed_gathers += qs.packed_gathers;
-        self.csr_fallback_rows += qs.csr_fallback_rows;
-        self.pool_dispatch_ns += qs.pool_dispatch_ns;
-        for (acc, &v) in self
-            .sweep_class_steps
-            .iter_mut()
-            .zip(qs.sweep_class_steps.iter())
-        {
-            *acc += v;
-        }
     }
 
     /// Merges another accumulator: per-thread partials within a run, or a
@@ -187,19 +137,8 @@ impl RunStats {
         self.warm_hits += other.warm_hits;
         self.evictions += other.evictions;
         self.jmp_inserts += other.jmp_inserts;
-        self.packed_gathers += other.packed_gathers;
-        self.csr_fallback_rows += other.csr_fallback_rows;
-        self.pool_dispatch_ns += other.pool_dispatch_ns;
         self.invalidated_jmps += other.invalidated_jmps;
-        self.invalidated_memos += other.invalidated_memos;
         self.retained_warm += other.retained_warm;
-        for (acc, &v) in self
-            .sweep_class_steps
-            .iter_mut()
-            .zip(other.sweep_class_steps.iter())
-        {
-            *acc += v;
-        }
         self.hists.merge(&other.hists);
         self.mem_items += other.mem_items;
         self.peak_mem_items = self.peak_mem_items.max(other.peak_mem_items);
@@ -213,9 +152,6 @@ impl RunStats {
             self.store_entries = other.store_entries;
             self.avg_group_size = other.avg_group_size;
             self.interner_ctxs = other.interner_ctxs;
-            self.engine_dispatched = other.engine_dispatched;
-            self.pool_spawns = other.pool_spawns;
-            self.pool_wakes = other.pool_wakes;
         }
         for (i, w) in other.workers.iter().enumerate() {
             if self.workers.len() <= i {
@@ -352,19 +288,11 @@ mod tests {
                 peak_state_words: 6,
                 interner_ctxs: 12,
                 makespan: 50,
-                engine_dispatched: Some(crate::Engine::Demand),
-                pool_spawns: 0,
-                pool_wakes: 0,
                 wall: std::time::Duration::from_millis(3),
                 avg_group_size: 2.0,
                 workers: vec![],
                 jmp_inserts: 3,
-                packed_gathers: 10,
-                csr_fallback_rows: 4,
-                pool_dispatch_ns: 100,
-                sweep_class_steps: [1, 2, 3, 4, 5, 6, 7],
                 invalidated_jmps: 2,
-                invalidated_memos: 3,
                 retained_warm: 4,
                 hists: hist_of(&[10, 20]),
             },
@@ -388,19 +316,11 @@ mod tests {
                 peak_state_words: 4,
                 interner_ctxs: 9,
                 makespan: 9,
-                engine_dispatched: Some(crate::Engine::Matrix),
-                pool_spawns: 7,
-                pool_wakes: 41,
                 wall: std::time::Duration::from_millis(2),
                 avg_group_size: 1.5,
                 workers: vec![],
                 jmp_inserts: 2,
-                packed_gathers: 5,
-                csr_fallback_rows: 1,
-                pool_dispatch_ns: 50,
-                sweep_class_steps: [10, 0, 0, 0, 0, 0, 1],
                 invalidated_jmps: 5,
-                invalidated_memos: 1,
                 retained_warm: 6,
                 hists: hist_of(&[30]),
             },
@@ -420,12 +340,7 @@ mod tests {
         assert_eq!(cum.warm_hits, 4);
         assert_eq!(cum.evictions, 3);
         assert_eq!(cum.jmp_inserts, 5);
-        assert_eq!(cum.packed_gathers, 15, "sweep counters sum");
-        assert_eq!(cum.csr_fallback_rows, 5);
-        assert_eq!(cum.pool_dispatch_ns, 150);
-        assert_eq!(cum.sweep_class_steps, [11, 2, 3, 4, 5, 6, 8]);
         assert_eq!(cum.invalidated_jmps, 7, "invalidation counters sum");
-        assert_eq!(cum.invalidated_memos, 4);
         assert_eq!(cum.retained_warm, 10);
         assert_eq!(cum.hists, hist_of(&[10, 20, 30]), "histograms merge");
         assert_eq!(cum.mem_items, 16);
@@ -440,13 +355,6 @@ mod tests {
         assert_eq!(cum.jmp_bytes, 600);
         assert_eq!(cum.avg_group_size, 1.5);
         assert_eq!(cum.interner_ctxs, 9, "gauge follows the latest batch");
-        assert_eq!(
-            cum.engine_dispatched,
-            Some(crate::Engine::Matrix),
-            "dispatched engine follows the latest batch"
-        );
-        assert_eq!(cum.pool_spawns, 7, "pool gauges follow the latest batch");
-        assert_eq!(cum.pool_wakes, 41);
     }
 
     /// Pins the merge class of *every* `RunStats` field. The batch
@@ -475,12 +383,7 @@ mod tests {
             warm_hits: k,
             evictions: k,
             jmp_inserts: k,
-            packed_gathers: k,
-            csr_fallback_rows: k,
-            pool_dispatch_ns: k,
-            sweep_class_steps: [k; parcfl_pag::EDGE_CLASSES],
             invalidated_jmps: k,
-            invalidated_memos: k,
             retained_warm: k,
             mem_items: k,
             // Additive time measures: sum.
@@ -496,9 +399,6 @@ mod tests {
             jmp_bytes: k as usize,
             avg_group_size: k as f64,
             interner_ctxs: k as usize,
-            engine_dispatched: Some(crate::Engine::Demand),
-            pool_spawns: k,
-            pool_wakes: k,
             // Structured: workers sum slot-wise, hists merge.
             workers: vec![WorkerObs {
                 worker: 0,
@@ -522,12 +422,7 @@ mod tests {
         assert_eq!(cum.warm_hits, 13);
         assert_eq!(cum.evictions, 13);
         assert_eq!(cum.jmp_inserts, 13);
-        assert_eq!(cum.packed_gathers, 13);
-        assert_eq!(cum.csr_fallback_rows, 13);
-        assert_eq!(cum.pool_dispatch_ns, 13);
-        assert_eq!(cum.sweep_class_steps, [13; parcfl_pag::EDGE_CLASSES]);
         assert_eq!(cum.invalidated_jmps, 13, "invalidations SUM, not latest");
-        assert_eq!(cum.invalidated_memos, 13, "invalidations SUM, not latest");
         assert_eq!(cum.retained_warm, 13, "retention events SUM, not latest");
         assert_eq!(cum.mem_items, 13);
         // Additive time.
@@ -543,9 +438,6 @@ mod tests {
         assert_eq!(cum.jmp_bytes, 3);
         assert_eq!(cum.avg_group_size, 3.0);
         assert_eq!(cum.interner_ctxs, 3);
-        assert_eq!(cum.engine_dispatched, Some(crate::Engine::Demand));
-        assert_eq!(cum.pool_spawns, 3);
-        assert_eq!(cum.pool_wakes, 3);
         // Structured.
         assert_eq!(cum.workers.len(), 1);
         assert_eq!(cum.workers[0].local_pops, 13);

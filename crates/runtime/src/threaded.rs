@@ -314,7 +314,6 @@ pub fn run_threaded_batch(
     stats.jmp_bytes = store.approx_bytes();
     stats.avg_group_size = schedule.avg_group_size;
     stats.interner_ctxs = store.interner().len();
-    stats.engine_dispatched = Some(crate::Engine::Demand);
     stats.workers = workers;
     let trace = cfg.tracing.enabled().then_some(RunTrace {
         real_time: true,

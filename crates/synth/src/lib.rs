@@ -15,10 +15,8 @@ pub mod generator;
 pub mod mutate;
 pub mod names;
 pub mod profile;
-pub mod stress;
 pub mod suite;
 
 pub use generator::generate;
 pub use profile::{table1_profiles, Profile};
-pub use stress::sweep_stress_bench;
 pub use suite::{build_bench, build_suite, Bench};

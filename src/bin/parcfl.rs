@@ -12,10 +12,10 @@
 //! parcfl check --replay <file.snap>
 //! ```
 
-use parcfl::core::{MatrixSolver, NoJmpStore, Solver, SolverConfig};
+use parcfl::core::{NoJmpStore, Solver, SolverConfig};
 use parcfl::frontend::build_pag;
 use parcfl::pag::Pag;
-use parcfl::runtime::{run_seq, run_simulated, Backend, Engine, Mode, RunConfig, TraceLevel};
+use parcfl::runtime::{run_seq, run_simulated, Backend, Mode, RunConfig, TraceLevel};
 use std::io::Write;
 use std::process::exit;
 
@@ -39,6 +39,9 @@ fn main() {
         usage();
         exit(2);
     };
+    if let Some((values, switches)) = known_flags(cmd) {
+        reject_unknown_flags(cmd, &args[1..], &values, &switches);
+    }
     match cmd.as_str() {
         "query" => cmd_query(&args[1..]),
         "alias" => cmd_alias(&args[1..]),
@@ -65,13 +68,11 @@ fn usage() {
 
 USAGE:
   parcfl query <file.mj> [--var NAME]... [--budget N] [--insensitive]
-               [--state hash|dense] [--engine demand|matrix|auto]
+               [--state hash|dense]
       Print points-to sets (all application locals, or the named variables;
       names match the `local@Class.method` form, or any suffix of it).
-      --state picks the visited-state backend (default dense); --engine
-      answers on the demand solver (default), the whole-program matrix
-      backend, or picks per batch by density. All are bit-identical on
-      completed answers (DESIGN.md §11).
+      --state picks the visited-state backend (default dense); both are
+      bit-identical on every answer (DESIGN.md §11).
   parcfl alias <file.mj> --var A --var B [--budget N]
       May-alias verdict for two variables.
   parcfl stats <file.mj>
@@ -79,32 +80,27 @@ USAGE:
   parcfl dot <file.mj>
       Graphviz DOT of the PAG on stdout.
   parcfl bench <name> [--threads N] [--mode naive|d|dq] [--threaded] [--stealing]
-               [--state hash|dense] [--engine demand|matrix|auto]
+               [--state hash|dense]
       Run one Table-I benchmark and report the speedup over SeqCFL.
       --threaded uses real OS threads instead of the virtual-time
       simulator; --stealing additionally dispatches through the
       work-stealing scheduler (implies --threaded) and reports per-worker
-      contention. --state/--engine select the solver core as in `query`
-      (mode/threads are inert under the matrix engine).
+      contention. --state selects the visited-state backend as in `query`.
   parcfl bench-diff <baseline.json> <current.json> [--gate none|deterministic|all]
                [--report PATH]
       Compare two BENCH_solver.json artifacts (table2 output). Exact
       equality is required of every deterministic per-row counter
-      (traversed steps, makespan, peak state words, packed/CSR gather
-      counts, ...); wall_ms regressions beyond 30% are warnings. Exit 1
+      (traversed steps, makespan, peak state words, interned contexts,
+      ...); wall_ms regressions beyond 30% are warnings. Exit 1
       when the selected gate fails: --gate deterministic (default) fails
       on counter drift, --gate all additionally on wall regressions,
       --gate none never. --report also writes the findings to PATH.
   parcfl trace <file.mj> [--out PATH] [--threads N] [--mode naive|d|dq]
-               [--level spans|full] [--threaded] [--engine demand|matrix]
+               [--level spans|full] [--threaded]
       Answer every application-local query with event tracing on and
       write a Chrome-trace JSON (default trace.json) for chrome://tracing
       or Perfetto. The default virtual-time simulator gives a
       deterministic trace; --threaded records real wall-clock spans.
-      --engine matrix traces the whole-program matrix engine instead:
-      one lane per sweep worker (--threads) with wave spans,
-      sweep-segment instants and pool wake/park markers (mode and
-      --threaded are inert there; the lanes are real-clock).
   parcfl gen <name>
       Print a Table-I benchmark's generated mini-Java source on stdout
       (feed it back through `parcfl query`/`stats`/`dot`).
@@ -125,8 +121,62 @@ USAGE:
       corresponding real bugs (expected exit 1).
   parcfl check --replay <file.snap>
       Re-run a recorded counterexample snapshot exactly as captured and
-      report whether it still disagrees with the oracle."
+      report whether it still disagrees with the oracle.
+
+Every subcommand rejects a `--flag` it does not know (exit code 2)."
     );
+}
+
+/// The solver flags `solver_config` reads: value flags, then switches.
+const SOLVER_VALUES: [&str; 2] = ["--budget", "--state"];
+const SOLVER_SWITCHES: [&str; 1] = ["--insensitive"];
+
+/// The flags subcommand `cmd` accepts: those that take a value, and
+/// switches. `None` for an unknown command.
+fn known_flags(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
+    let with_solver = |values: &[&'static str], switches: &[&'static str]| {
+        let mut v = SOLVER_VALUES.to_vec();
+        v.extend_from_slice(values);
+        let mut s = SOLVER_SWITCHES.to_vec();
+        s.extend_from_slice(switches);
+        (v, s)
+    };
+    Some(match cmd {
+        "query" | "alias" | "why" => with_solver(&["--var"], &[]),
+        "trace" => with_solver(
+            &["--out", "--threads", "--mode", "--level"],
+            &["--threaded"],
+        ),
+        "bench" => (
+            vec!["--threads", "--mode", "--state"],
+            vec!["--threaded", "--stealing"],
+        ),
+        "bench-diff" => (vec!["--gate", "--report"], vec![]),
+        "check" => (
+            vec!["--fuzz", "--seed", "--out", "--replay"],
+            vec!["--no-shrink", "--chaos", "--delta", "--chaos-invalidation"],
+        ),
+        "stats" | "dot" | "gen" => (vec![], vec![]),
+        _ => return None,
+    })
+}
+
+/// Exits with code 2, naming the flag, when `args` carries a `--flag`
+/// that is neither in `values` (which consume the next argument) nor in
+/// `switches`. Without this a mistyped or retired flag would be ignored
+/// silently and the command would run with its defaults.
+fn reject_unknown_flags(cmd: &str, args: &[String], values: &[&str], switches: &[&str]) {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if values.contains(&a) {
+            i += 1;
+        } else if a.starts_with("--") && !switches.contains(&a) {
+            eprintln!("{cmd}: unknown flag `{a}`");
+            exit(2);
+        }
+        i += 1;
+    }
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -191,16 +241,6 @@ fn solver_config(args: &[String]) -> SolverConfig {
     cfg
 }
 
-fn engine_flag(args: &[String]) -> Engine {
-    match flag_value(args, "--engine") {
-        Some(e) => e.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        }),
-        None => Engine::Demand,
-    }
-}
-
 fn resolve(pag: &Pag, name: &str) -> parcfl::pag::NodeId {
     // Exact match first, then unique suffix match.
     if let Some(n) = pag.node_by_name(name) {
@@ -238,19 +278,10 @@ fn cmd_query(args: &[String]) {
     } else {
         wanted.iter().map(|w| resolve(&pag, w)).collect()
     };
-    let matrix = match engine_flag(args) {
-        Engine::Matrix => true,
-        Engine::Demand => false,
-        Engine::Auto => parcfl::runtime::matrix_pays_off(&pag, &targets),
-    };
     let store = NoJmpStore;
     let solver = Solver::new(&pag, &cfg, &store);
-    let mut matrix_solver = matrix.then(|| MatrixSolver::new(&pag, &cfg));
     for v in targets {
-        let out = match matrix_solver.as_mut() {
-            Some(m) => m.points_to_query(v),
-            None => solver.points_to_query(v, 0),
-        };
+        let out = solver.points_to_query(v, 0);
         match out.answer.nodes() {
             Some(objs) => {
                 let names: Vec<_> = objs.iter().map(|&o| pag.node(o).name.clone()).collect();
@@ -328,19 +359,12 @@ fn cmd_trace(args: &[String]) {
     } else {
         Backend::Simulated
     };
-    let engine = engine_flag(args);
     let mut cfg = RunConfig::new(mode, threads, backend).with_tracing(level);
     cfg.solver = solver_config(args);
-    let r = match engine {
-        Engine::Matrix => {
-            // Whole-program matrix engine: per-sweep-worker lanes with
-            // wave spans and pool wake/park instants, stamped on the
-            // real clock (mode/backend are inert under this engine).
-            cfg.solver.state = parcfl::core::StateBackend::Dense;
-            parcfl::runtime::run_matrix(&pag, &queries, &cfg)
-        }
-        _ if threaded => parcfl::runtime::run_threaded(&pag, &queries, &cfg),
-        _ => run_simulated(&pag, &queries, &cfg),
+    let r = if threaded {
+        parcfl::runtime::run_threaded(&pag, &queries, &cfg)
+    } else {
+        run_simulated(&pag, &queries, &cfg)
     };
     let trace = r.trace.expect("tracing enabled yields a trace");
     std::fs::write(&out_path, trace.to_chrome_json()).unwrap_or_else(|e| {
@@ -349,11 +373,7 @@ fn cmd_trace(args: &[String]) {
     });
     outln!(
         "{}: {} queries, {} completed; {} events across {} workers ({} dropped) -> {}",
-        match engine {
-            Engine::Matrix => "matrix",
-            _ if threaded => "threaded",
-            _ => "simulated",
-        },
+        if threaded { "threaded" } else { "simulated" },
         r.stats.queries,
         r.stats.completed,
         trace.event_count(),
@@ -475,7 +495,6 @@ fn cmd_bench(args: &[String]) {
     };
     let stealing = args.iter().any(|a| a == "--stealing");
     let threaded = stealing || args.iter().any(|a| a == "--threaded");
-    let engine = engine_flag(args);
     let b = parcfl::synth::build_bench(&profile);
     let mut seq_solver = b.solver.clone();
     if let Some(s) = flag_value(args, "--state") {
@@ -490,16 +509,11 @@ fn cmd_bench(args: &[String]) {
     } else {
         Backend::Simulated
     };
-    let mut cfg = RunConfig::new(mode, threads, backend)
-        .with_stealing(stealing)
-        .with_engine(engine);
+    let mut cfg = RunConfig::new(mode, threads, backend).with_stealing(stealing);
     cfg.solver = seq_solver;
     let par = parcfl::runtime::run(&b.pag, &b.queries, &cfg);
-    // Report the engine that actually ran (`Auto` resolves per batch),
-    // not the one configured.
-    let dispatched = par.stats.engine_dispatched.unwrap_or(engine);
     outln!(
-        "{name}: {} queries; SeqCFL {} steps; ParCFL({threads}, {}, engine={dispatched}) \
+        "{name}: {} queries; SeqCFL {} steps; ParCFL({threads}, {}) \
          speedup {:.1}x (jmps {}, ETs {}, wall {:?})",
         b.queries.len(),
         seq.stats.makespan,
@@ -509,7 +523,7 @@ fn cmd_bench(args: &[String]) {
         par.stats.early_terminations,
         par.stats.wall
     );
-    if threaded && dispatched == Engine::Demand {
+    if threaded {
         let t = par.stats.obs_totals();
         outln!(
             "dispatch [{}]: {} local pops, {} steals ({} items), {} idle spins, \
