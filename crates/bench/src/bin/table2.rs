@@ -5,15 +5,13 @@
 //! queries a client actually asks.
 //!
 //! Additionally emits a machine-readable `BENCH_solver.json` (schema
-//! `parcfl-bench-solver/6`): per bench, the headline DQ simulated run
-//! plus sequential demand-dense / demand-hash rows, with makespan,
-//! traversed/charged steps, peak memoisation footprint, peak dense-state
-//! words and the dense-vs-hash wall ratio, so CI and perf-tracking
-//! scripts can diff solver behaviour without scraping the human tables.
-//! Each row
-//! is run `--repeat N` times (default 3) and `wall_ms` (and every
-//! wall-derived ratio) uses the median — single-shot walls on a loaded
-//! host are too noisy to gate on. `--smoke` restricts the run to the
+//! `parcfl-bench-solver/7`): per bench, the headline DQ simulated run
+//! plus a sequential demand row, with makespan, traversed/charged steps,
+//! peak memoisation footprint and peak visited-state words, so CI and
+//! perf-tracking scripts can diff solver behaviour without scraping the
+//! human tables. Each row is run `--repeat N` times (default 3) and
+//! `wall_ms` uses the median — single-shot walls on a loaded host are too
+//! noisy to gate on. `--smoke` restricts the run to the
 //! smallest synthetic profile and skips the wall-clock sidebars;
 //! `--json PATH` overrides the artifact location; `--only SUBSTR` keeps
 //! only benches whose name contains SUBSTR (fast A/B on one benchmark).
@@ -24,7 +22,7 @@
 //! load it in `chrome://tracing` or Perfetto.
 
 use parcfl_bench::{cfg_for, print_worker_table, run_mode};
-use parcfl_core::{NoJmpStore, Solver, SolverConfig, StateBackend};
+use parcfl_core::{NoJmpStore, Solver};
 use parcfl_runtime::{
     run_seq, run_simulated, run_threaded, Backend, Mode, RunConfig, RunResult, TraceLevel,
 };
@@ -138,13 +136,13 @@ const JSON_THREADS: usize = 8;
 
 /// One `BENCH_solver.json` record, rendered by hand: the artifact must not
 /// cost a serde dependency, and every field is a scalar. `row` labels the
-/// configuration the record measured (state × dispatch); `wall_ms` is the
-/// median over the `--repeat` runs of the row.
-fn json_record(b: &Bench, row: &str, state: &str, r: &RunResult, wall_ms: f64) -> String {
+/// configuration the record measured; `wall_ms` is the median over the
+/// `--repeat` runs of the row.
+fn json_record(b: &Bench, row: &str, r: &RunResult, wall_ms: f64) -> String {
     let s = &r.stats;
     format!(
         concat!(
-            "{{\"bench\":\"{}\",\"row\":\"{}\",\"state\":\"{}\",",
+            "{{\"bench\":\"{}\",\"row\":\"{}\",",
             "\"queries\":{},\"completed\":{},",
             "\"out_of_budget\":{},\"makespan\":{},\"traversed_steps\":{},",
             "\"charged_steps\":{},\"steps_saved\":{},\"jmp_edges\":{},",
@@ -153,7 +151,6 @@ fn json_record(b: &Bench, row: &str, state: &str, r: &RunResult, wall_ms: f64) -
         ),
         b.name,
         row,
-        state,
         s.queries,
         s.completed,
         s.out_of_budget,
@@ -203,52 +200,25 @@ fn repeated_interleaved<const N: usize>(
 }
 
 /// Runs each bench and writes the machine-readable artifact: the
-/// headline DQ simulated run plus sequential demand-dense and demand-hash
-/// rows (asserted bit-identical first), with the dense-vs-hash sequential
-/// wall-time ratio on the `seq-hash` row. All three rows of a bench
-/// interleave their repeats ([`repeated_interleaved`]) so the wall
-/// medians feeding the ratio are drift-fair.
+/// headline DQ simulated run plus a sequential demand row. Both rows of a
+/// bench interleave their repeats ([`repeated_interleaved`]) so their
+/// wall medians are drift-fair.
 fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool, repeat: usize) {
-    let mut records = Vec::with_capacity(benches.len() * 3);
+    let mut records = Vec::with_capacity(benches.len() * 2);
     for b in benches {
-        let dense_cfg = SolverConfig {
-            state: StateBackend::Dense,
-            ..b.solver.clone()
-        };
-        let hash_cfg = SolverConfig {
-            state: StateBackend::Hash,
-            ..b.solver.clone()
-        };
-        let ([headline, dense, hash], walls) = repeated_interleaved(
+        let ([headline, seq], [headline_wall, seq_wall]) = repeated_interleaved(
             repeat,
             [
                 Box::new(|| run_mode(b, Mode::DataSharingSched, JSON_THREADS)),
-                Box::new(|| run_seq(&b.pag, &b.queries, &dense_cfg)),
-                Box::new(|| run_seq(&b.pag, &b.queries, &hash_cfg)),
+                Box::new(|| run_seq(&b.pag, &b.queries, &b.solver)),
             ],
         );
-        let [headline_wall, dense_wall, hash_wall] = walls;
-        records.push(json_record(b, "dq-sim", "dense", &headline, headline_wall));
-        assert_eq!(
-            dense.sorted_answers(),
-            hash.sorted_answers(),
-            "{}: state backends must be bit-identical",
-            b.name
-        );
-        let dense_speedup = if dense_wall == 0.0 {
-            1.0
-        } else {
-            hash_wall / dense_wall
-        };
-        records.push(json_record(b, "seq-dense", "dense", &dense, dense_wall));
-        let mut h = json_record(b, "seq-hash", "hash", &hash, hash_wall);
-        let extra = format!(",\"dense_vs_hash_speedup\":{dense_speedup:.3}}}");
-        h.replace_range(h.len() - 1.., &extra);
-        records.push(h);
+        records.push(json_record(b, "dq-sim", &headline, headline_wall));
+        records.push(json_record(b, "seq", &seq, seq_wall));
     }
     let body = format!(
         concat!(
-            "{{\"schema\":\"parcfl-bench-solver/6\",\"mode\":\"DataSharingSched\",",
+            "{{\"schema\":\"parcfl-bench-solver/7\",\"mode\":\"DataSharingSched\",",
             "\"threads\":{},\"backend\":\"simulated\",\"smoke\":{},\"repeat\":{},\"benches\":[\n  {}\n]}}\n"
         ),
         JSON_THREADS,

@@ -106,7 +106,7 @@ impl Scalar {
 pub struct RowRecord {
     /// Benchmark name (`"bench"` field).
     pub bench: String,
-    /// Row label, e.g. `"seq-hash"` (`"row"` field).
+    /// Row label, e.g. `"seq"` (`"row"` field).
     pub row: String,
     /// Every scalar field of the record, including `bench`/`row`.
     pub fields: Vec<(String, Scalar)>,
@@ -126,7 +126,7 @@ impl RowRecord {
 /// A parsed `BENCH_solver.json` artifact.
 #[derive(Clone, Debug)]
 pub struct Artifact {
-    /// The artifact's `schema` tag (e.g. `parcfl-bench-solver/6`).
+    /// The artifact's `schema` tag (e.g. `parcfl-bench-solver/7`).
     pub schema: String,
     /// Every bench × row record, in artifact order.
     pub rows: Vec<RowRecord>,
@@ -472,7 +472,7 @@ mod tests {
             .map(|(bench, row, steps, wall)| {
                 format!(
                     concat!(
-                        "{{\"bench\":\"{}\",\"row\":\"{}\",\"state\":\"dense\",",
+                        "{{\"bench\":\"{}\",\"row\":\"{}\",",
                         "\"queries\":10,\"completed\":10,\"out_of_budget\":0,",
                         "\"makespan\":100,\"traversed_steps\":{},\"charged_steps\":90,",
                         "\"steps_saved\":5,\"jmp_edges\":3,\"store_entries\":2,",
@@ -483,7 +483,7 @@ mod tests {
             })
             .collect();
         format!(
-            "{{\"schema\":\"parcfl-bench-solver/6\",\"threads\":8,\"benches\":[\n  {}\n]}}\n",
+            "{{\"schema\":\"parcfl-bench-solver/7\",\"threads\":8,\"benches\":[\n  {}\n]}}\n",
             recs.join(",\n  ")
         )
     }
@@ -491,7 +491,7 @@ mod tests {
     #[test]
     fn parses_rows_and_fields() {
         let a = Artifact::parse(&artifact(&[("jess", "dq-sim", 1234, 5.0)])).unwrap();
-        assert_eq!(a.schema, "parcfl-bench-solver/6");
+        assert_eq!(a.schema, "parcfl-bench-solver/7");
         assert_eq!(a.rows.len(), 1);
         let r = &a.rows[0];
         assert_eq!((r.bench.as_str(), r.row.as_str()), ("jess", "dq-sim"));
@@ -499,7 +499,7 @@ mod tests {
             r.field("traversed_steps"),
             Some(&Scalar::Raw("1234".into()))
         );
-        assert_eq!(r.field("state"), Some(&Scalar::Str("dense".into())));
+        assert_eq!(r.field("bench"), Some(&Scalar::Str("jess".into())));
         assert_eq!(r.field("wall_ms").and_then(Scalar::as_f64), Some(5.0));
         assert!(r.field("nope").is_none());
     }
@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn identical_artifacts_pass_every_gate() {
-        let text = artifact(&[("jess", "dq-sim", 1234, 5.0), ("jess", "seq-hash", 99, 2.0)]);
+        let text = artifact(&[("jess", "dq-sim", 1234, 5.0), ("jess", "seq", 99, 2.0)]);
         let a = Artifact::parse(&text).unwrap();
         let report = diff_artifacts(&a, &a);
         assert_eq!(report.compared, 2);
@@ -562,11 +562,11 @@ mod tests {
     #[test]
     fn missing_row_is_a_regression_and_new_row_is_a_note() {
         let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1, 5.0)])).unwrap();
-        let cur = Artifact::parse(&artifact(&[("jess", "seq-hash", 1, 5.0)])).unwrap();
+        let cur = Artifact::parse(&artifact(&[("jess", "seq", 1, 5.0)])).unwrap();
         let report = diff_artifacts(&base, &cur);
         assert_eq!(report.compared, 0);
         assert!(report.regressions[0].contains("jess/dq-sim"), "{report:?}");
-        assert!(report.notes.iter().any(|n| n.contains("jess/seq-hash")));
+        assert!(report.notes.iter().any(|n| n.contains("jess/seq")));
         assert!(report.failed(GateMode::Deterministic));
     }
 

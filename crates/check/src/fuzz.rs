@@ -3,9 +3,8 @@
 //! Each iteration derives an independent RNG stream from the base seed,
 //! samples a scenario — synthetic program (tiny/small profile), query
 //! subset, mode, backend, thread count, budget regime, τ thresholds,
-//! memoisation, context sensitivity, state backend (hash/dense),
-//! simulator perturbation, jmp-store cap — runs it, and checks every
-//! completed answer two ways:
+//! memoisation, context sensitivity, simulator perturbation, jmp-store
+//! cap — runs it, and checks every completed answer two ways:
 //!
 //! * **exactly** against the naive oracle ([`crate::diff`]);
 //! * **for soundness** against the Andersen whole-program solution
@@ -30,7 +29,7 @@ use crate::oracle::OracleConfig;
 use crate::seed::derive;
 use crate::shrink::{shrink, ShrinkStats};
 use crate::snapshot::Scenario;
-use parcfl_core::{SolverConfig, StateBackend};
+use parcfl_core::SolverConfig;
 use parcfl_runtime::{Backend, Mode, SimPerturb, TraceLevel};
 use parcfl_synth::mutate::sample_edits;
 use parcfl_synth::{build_bench, Profile};
@@ -353,13 +352,6 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
         memoize: rng.random_bool(0.25),
         chaos_jmp_ignore_ctx: cfg.chaos,
         chaos_skip_invalidation: cfg.chaos_invalidation,
-        // Backend dimension: hash and dense must be indistinguishable in
-        // every differential and soundness check.
-        state: if rng.random_bool(0.5) {
-            StateBackend::Hash
-        } else {
-            StateBackend::Dense
-        },
         ..SolverConfig::default()
     };
 

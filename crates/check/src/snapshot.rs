@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! # free-form comment
-//! run mode=dq backend=sim threads=3 fetch=1 budget=75000 tauf=100 tauu=100 ctx=1 memo=0 chaos=0 state=dense trace=off
+//! run mode=dq backend=sim threads=3 fetch=1 budget=75000 tauf=100 tauu=100 ctx=1 memo=0 chaos=0 trace=off
 //! perturb pseed=7 jitter=3 window=4 scramble=1 evict=0   (optional)
 //! store cap=64                                           (optional)
 //! counts nodes=5 fields=2 callsites=1
@@ -32,8 +32,10 @@
 //! `st <field>`, `param <site>`, `ret <site>`.
 //!
 //! Snapshots written before the whole-program matrix engine was removed
-//! may carry `engine=` and `packed=` run keys. The parser accepts both and
-//! ignores their values: every snapshot replays on the demand solver.
+//! may carry `engine=` and `packed=` run keys, and those written before
+//! the solver settled on one visited-state layout carry `state=`. The
+//! parser accepts all three and ignores their values: every snapshot
+//! replays on the demand solver.
 //!
 //! ## Incremental (mutate-then-requery) scenarios
 //!
@@ -51,7 +53,7 @@
 //! has no simulator perturbation hook, so `perturb` is ignored for
 //! delta scenarios (the fuzzer never samples both).
 
-use parcfl_core::{SolverConfig, StateBackend};
+use parcfl_core::SolverConfig;
 use parcfl_pag::{
     CallSiteId, DeltaOp, Edge, EdgeKind, FieldId, NodeId, NodeInfo, NodeKind, Pag, PagBuilder,
     PagDelta,
@@ -180,7 +182,7 @@ impl Scenario {
         s.push_str("# Replay: parcfl check --replay <this file>\n");
         let _ = write!(
             s,
-            "run mode={} backend={} threads={} fetch={} budget={} tauf={} tauu={} ctx={} memo={} chaos={} state={} trace={}",
+            "run mode={} backend={} threads={} fetch={} budget={} tauf={} tauu={} ctx={} memo={} chaos={} trace={}",
             match self.mode {
                 Mode::Naive => "naive",
                 Mode::DataSharing => "d",
@@ -198,7 +200,6 @@ impl Scenario {
             self.solver.context_sensitive as u8,
             self.solver.memoize as u8,
             self.solver.chaos_jmp_ignore_ctx as u8,
-            self.solver.state.name(),
             match self.trace_level {
                 TraceLevel::Off => "off",
                 TraceLevel::Spans => "spans",
@@ -322,13 +323,11 @@ impl Scenario {
                             "ctx" => solver.context_sensitive = parse::<u8, _>(v, &err)? != 0,
                             "memo" => solver.memoize = parse::<u8, _>(v, &err)? != 0,
                             "chaos" => solver.chaos_jmp_ignore_ctx = parse::<u8, _>(v, &err)? != 0,
-                            // `state`/`trace` are absent in older corpus
-                            // files; missing keys keep the defaults
-                            // (default state backend, tracing off).
-                            "state" => solver.state = v.parse::<StateBackend>().map_err(&err)?,
-                            // Legacy keys of the removed matrix engine:
-                            // accepted, values ignored.
-                            "engine" | "packed" => {}
+                            // Legacy keys of the removed matrix engine and
+                            // state-layout choice: accepted, values ignored.
+                            "engine" | "packed" | "state" => {}
+                            // `trace` is absent in older corpus files; a
+                            // missing key means tracing off.
                             "trace" => {
                                 trace_level = TraceLevel::parse(v)
                                     .ok_or_else(|| err(format!("unknown trace level `{v}`")))?
@@ -604,9 +603,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_state_keys_default_when_absent() {
-        // Older snapshots carry no state/trace keys: they parse to the
-        // default state backend and tracing off.
+    fn legacy_run_keys_parse_and_are_ignored() {
+        // Older snapshots carry no trace key: it parses to tracing off.
         let sc = sample_scenario();
         let text = sc.to_snapshot();
         let edit_run_line = |f: &dyn Fn(&str) -> String| -> String {
@@ -623,33 +621,32 @@ mod tests {
         };
         let legacy = edit_run_line(&|l| {
             l.split_whitespace()
-                .filter(|t| !t.starts_with("state=") && !t.starts_with("trace="))
+                .filter(|t| !t.starts_with("trace="))
                 .collect::<Vec<_>>()
                 .join(" ")
         });
         let back = Scenario::from_snapshot(&legacy).expect("legacy parse");
-        assert_eq!(back.solver.state, SolverConfig::default().state);
         assert_eq!(back.trace_level, TraceLevel::Off, "absent trace key is off");
 
         // Snapshots of the removed matrix engine carry `engine=` and
-        // `packed=` keys: both are accepted and ignored, so such a run
-        // line parses to the same scenario as one without them.
-        let matrix = edit_run_line(&|l| format!("{l} engine=matrix packed=0"));
-        let with_keys = Scenario::from_snapshot(&matrix).expect("matrix-era parse");
+        // `packed=` keys, and those of the removed state-layout choice a
+        // `state=` key: all are accepted and ignored, so such a run line
+        // parses to the same scenario as one without them.
         let without = Scenario::from_snapshot(&text).expect("parse");
-        assert_eq!(with_keys.solver, without.solver);
-        assert_eq!(with_keys.threads, without.threads);
-        assert_eq!(with_keys.mode, without.mode);
-        assert_eq!(with_keys.backend, without.backend);
-        assert_eq!(with_keys.to_snapshot(), without.to_snapshot());
-        assert_eq!(with_keys.to_snapshot(), text, "the writer drops both keys");
+        for keys in ["engine=matrix packed=0", "state=hash", "state=dense"] {
+            let legacy = edit_run_line(&|l| format!("{l} {keys}"));
+            let with_keys = Scenario::from_snapshot(&legacy).expect("legacy-key parse");
+            assert_eq!(with_keys.solver, without.solver, "{keys}");
+            assert_eq!(with_keys.threads, without.threads, "{keys}");
+            assert_eq!(with_keys.mode, without.mode, "{keys}");
+            assert_eq!(with_keys.backend, without.backend, "{keys}");
+            assert_eq!(with_keys.to_snapshot(), text, "the writer drops `{keys}`");
+        }
 
-        // The state backend and trace level round-trip through the run line.
-        let mut hashed = sample_scenario();
-        hashed.solver.state = StateBackend::Hash;
-        hashed.trace_level = TraceLevel::Full;
-        let back = Scenario::from_snapshot(&hashed.to_snapshot()).expect("parse");
-        assert_eq!(back.solver.state, StateBackend::Hash);
+        // The trace level round-trips through the run line.
+        let mut traced = sample_scenario();
+        traced.trace_level = TraceLevel::Full;
+        let back = Scenario::from_snapshot(&traced.to_snapshot()).expect("parse");
         assert_eq!(back.trace_level, TraceLevel::Full, "trace=full round-trips");
 
         assert!(

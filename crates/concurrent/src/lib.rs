@@ -15,9 +15,9 @@
 //! * [`stealing::StealQueues`] — the work-stealing successor to the shared
 //!   list: per-worker deques, steal-half, idle-count/final-sweep
 //!   termination, with per-worker observability ([`stealing::WorkerObs`]);
-//! * [`bitset`] — chunked bitsets over the dense `CtxId` space and the
-//!   [`bitset::StateSet`] visited-state tables (hash and dense) the solver
-//!   hot loop selects between (DESIGN.md §11);
+//! * [`bitset`] — chunked bitsets over dense node/field id spaces, the
+//!   read-sets of the solver's reverse-dependency footprints (DESIGN.md
+//!   §12);
 //! * [`counters`] — cache-padded atomic statistics counters and the
 //!   named-counter registry ([`counters::CounterSet`]) behind the
 //!   Prometheus exporter.
@@ -32,7 +32,7 @@ pub mod sharded_map;
 pub mod stealing;
 pub mod worklist;
 
-pub use bitset::{ChunkedBitset, DenseVisitSet, HashVisitSet, StateSet};
+pub use bitset::ChunkedBitset;
 pub use counters::{Counter, CounterSet, MaxTracker};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use interner::{CtxId, CtxInterner};

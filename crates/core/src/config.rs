@@ -1,53 +1,5 @@
 //! Solver configuration.
 
-use std::fmt;
-use std::str::FromStr;
-
-/// How the demand solver stores its visited-state tables (DESIGN.md §11).
-///
-/// Both backends are **bit-identical** in every observable output —
-/// answers, step counts, publication decisions — because the tables are
-/// pure membership structures whose iteration order the solver never
-/// depends on. `Hash` is kept selectable so differential tests (and the
-/// `parcfl check --fuzz` backend dimension) can prove that claim on every
-/// run.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub enum StateBackend {
-    /// `FxHashMap<node, FxHashSet<ctx>>` — the historical layout.
-    Hash,
-    /// Chunked `CtxId` bitsets per node — the cache-dense default.
-    #[default]
-    Dense,
-}
-
-impl StateBackend {
-    /// Stable lower-case name (CLI flags, snapshots, JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            StateBackend::Hash => "hash",
-            StateBackend::Dense => "dense",
-        }
-    }
-}
-
-impl fmt::Display for StateBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for StateBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "hash" => Ok(StateBackend::Hash),
-            "dense" => Ok(StateBackend::Dense),
-            other => Err(format!("unknown state backend `{other}` (hash|dense)")),
-        }
-    }
-}
-
 /// Tunable parameters of the demand-driven analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SolverConfig {
@@ -89,10 +41,6 @@ pub struct SolverConfig {
     /// same-batch and nothing counts as warm. Pure accounting — it never
     /// affects answers or visibility.
     pub warm_floor: u64,
-    /// Visited-state table representation (see [`StateBackend`]). Purely a
-    /// performance/memory choice: answers and costs are bit-identical
-    /// across backends.
-    pub state: StateBackend,
     /// Whether traversals record reverse-dependency [`crate::Footprint`]s
     /// alongside finished jmp publishes, enabling
     /// selective invalidation after a `PagDelta` (DESIGN.md §12). Off by
@@ -128,7 +76,6 @@ impl Default for SolverConfig {
             memoize: false,
             max_recursion_depth: 512,
             warm_floor: 0,
-            state: StateBackend::default(),
             record_footprints: false,
             chaos_jmp_ignore_ctx: false,
             chaos_skip_invalidation: false,
@@ -168,12 +115,6 @@ impl SolverConfig {
         self
     }
 
-    /// Selects the visited-state table representation.
-    pub fn with_state(mut self, state: StateBackend) -> Self {
-        self.state = state;
-        self
-    }
-
     /// Enables reverse-dependency footprint recording (see the field
     /// docs; answers are identical either way).
     pub fn with_footprints(mut self) -> Self {
@@ -195,15 +136,6 @@ mod tests {
         assert!(!c.data_sharing);
         assert!(c.context_sensitive);
         assert!(!c.memoize);
-    }
-
-    #[test]
-    fn state_backend_names_round_trip() {
-        for b in [StateBackend::Hash, StateBackend::Dense] {
-            assert_eq!(b.name().parse::<StateBackend>().unwrap(), b);
-        }
-        assert!("csr".parse::<StateBackend>().is_err());
-        assert_eq!(SolverConfig::default().state, StateBackend::Dense);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod solver;
 pub mod stats;
 pub mod witness;
 
-pub use config::{SolverConfig, StateBackend};
+pub use config::SolverConfig;
 pub use context::Ctx;
 pub use footprint::{DirtySet, Footprint, FpBuilder};
 pub use jmp::{Dir, JmpEntry, JmpStore, NoJmpStore, SharedJmpStore};

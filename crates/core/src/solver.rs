@@ -41,15 +41,13 @@
 //! and with it every charged/traversed step count, identical to a
 //! Vec-backed run.
 
-use crate::config::{SolverConfig, StateBackend};
+use crate::config::SolverConfig;
 use crate::context::Ctx;
 use crate::footprint::{Footprint, FpBuilder};
 use crate::jmp::{Dir, JmpEntry, JmpStore, RchSet};
 use crate::stats::{Answer, QueryOutput, QueryStats};
 use crate::witness::{Trace, Via};
-use parcfl_concurrent::{
-    CtxId, CtxInterner, DenseVisitSet, FxHashMap, FxHashSet, HashVisitSet, StateSet,
-};
+use parcfl_concurrent::{CtxId, CtxInterner, FxHashMap, FxHashSet};
 use parcfl_obs::{EventKind, TraceRecorder};
 use parcfl_pag::{EdgeClass, FieldId, NodeId, Pag};
 use std::sync::Arc;
@@ -124,60 +122,86 @@ impl<'a> Solver<'a> {
     /// answer. Tracing covers the top-level traversal; heap hops appear as
     /// single `alias` steps.
     pub fn traced_points_to_query(&self, l: NodeId, vtime_base: u64) -> (QueryOutput, Trace) {
-        match self.cfg.state {
-            StateBackend::Hash => self.traced_with::<HashVisitSet>(l, vtime_base),
-            StateBackend::Dense => self.traced_with::<DenseVisitSet>(l, vtime_base),
-        }
-    }
-
-    fn traced_with<S: StateSet>(&self, l: NodeId, vtime_base: u64) -> (QueryOutput, Trace) {
-        assert!(
-            (l.raw() as usize) < self.pag.node_count(),
-            "query node {} outside PAG universe of {} nodes",
-            l.raw(),
-            self.pag.node_count()
-        );
-        let mut q: QueryState<'_, S> =
-            QueryState::new(self.pag, self.cfg, self.jmp, &self.interner, vtime_base);
-        q.rec = self.rec;
-        q.trace = Some(Trace::default());
-        if let Some(t) = q.trace.as_mut() {
-            t.parent
-                .insert((l, Ctx::empty()), ((l, Ctx::empty()), Via::Root));
-        }
+        let mut q = self.query_state(l, vtime_base);
+        let mut trace = Trace::default();
+        trace
+            .parent
+            .insert((l, Ctx::empty()), ((l, Ctx::empty()), Via::Root));
+        q.trace = Some(trace);
         let result = q.points_to(l, CtxId::EMPTY);
         let trace = q.trace.take().unwrap_or_default();
         (q.finalize(result), trace)
     }
 
     fn run(&self, start: NodeId, vtime_base: u64, dir: Dir) -> QueryOutput {
-        // The state backend is a monomorphisation switch, not a branch in
-        // the hot loop: each backend gets its own fully-specialised
-        // traversal code. Both produce bit-identical outputs.
-        match self.cfg.state {
-            StateBackend::Hash => self.run_with::<HashVisitSet>(start, vtime_base, dir),
-            StateBackend::Dense => self.run_with::<DenseVisitSet>(start, vtime_base, dir),
-        }
+        let mut q = self.query_state(start, vtime_base);
+        let result = match dir {
+            Dir::Bwd => q.points_to(start, CtxId::EMPTY),
+            Dir::Fwd => q.flows_to(start, CtxId::EMPTY),
+        };
+        q.finalize(result)
     }
 
-    fn run_with<S: StateSet>(&self, start: NodeId, vtime_base: u64, dir: Dir) -> QueryOutput {
-        // Reject out-of-universe ids before the dense table sizes itself by
-        // the raw node id; the hash backend would only trip on the first
-        // CSR lookup, after already seeding state.
+    /// Fresh query-local state for a query starting at `start`. Rejects
+    /// out-of-universe ids up front, before any state is seeded; the first
+    /// CSR lookup would otherwise be the one to trip on them.
+    fn query_state(&self, start: NodeId, vtime_base: u64) -> QueryState<'_> {
         assert!(
             (start.raw() as usize) < self.pag.node_count(),
             "query node {} outside PAG universe of {} nodes",
             start.raw(),
             self.pag.node_count()
         );
-        let mut q: QueryState<'_, S> =
-            QueryState::new(self.pag, self.cfg, self.jmp, &self.interner, vtime_base);
+        let mut q = QueryState::new(self.pag, self.cfg, self.jmp, &self.interner, vtime_base);
         q.rec = self.rec;
-        let result = match dir {
-            Dir::Bwd => q.points_to(start, CtxId::EMPTY),
-            Dir::Fwd => q.flows_to(start, CtxId::EMPTY),
-        };
-        q.finalize(result)
+        q
+    }
+}
+
+/// The solver's visited-state table: `node → {ctx}`, a pure `(node, ctx)`
+/// membership structure (DESIGN.md §11). No iteration order is observed
+/// except through [`VisitSet::for_ctxs`], whose callers are
+/// order-insensitive (the solver canonically re-sorts everything that
+/// crosses a traversal boundary).
+#[derive(Default)]
+struct VisitSet {
+    map: FxHashMap<u32, FxHashSet<CtxId>>,
+}
+
+impl VisitSet {
+    /// Records `(node, ctx)`; returns `true` iff the state was new.
+    #[inline]
+    fn insert(&mut self, node: u32, ctx: CtxId) -> bool {
+        self.map.entry(node).or_default().insert(ctx)
+    }
+
+    /// Whether `(node, ctx)` has been recorded.
+    #[cfg(test)]
+    fn contains(&self, node: u32, ctx: CtxId) -> bool {
+        self.map.get(&node).is_some_and(|s| s.contains(&ctx))
+    }
+
+    /// Calls `f` for every ctx recorded against `node` (any order).
+    fn for_ctxs(&self, node: u32, mut f: impl FnMut(CtxId)) {
+        if let Some(s) = self.map.get(&node) {
+            for &c in s {
+                f(c);
+            }
+        }
+    }
+
+    /// Empties the table in place, keeping node entries and set capacity
+    /// so pooled reuse across nested traversals does not reallocate.
+    fn reset(&mut self) {
+        for s in self.map.values_mut() {
+            s.clear();
+        }
+    }
+
+    /// Approximate `u64` words held: a two-words-per-entry estimate (key +
+    /// bucket overhead) over each node's set capacity.
+    fn approx_words(&self) -> u64 {
+        self.map.values().map(|s| 2 * s.capacity() as u64 + 2).sum()
     }
 }
 
@@ -187,13 +211,9 @@ struct Oob;
 
 /// Query-local mutable state shared by every nested traversal.
 ///
-/// Generic over the visited-state table `S` (hash or chunked-bitset, see
-/// [`StateBackend`]): the solver is monomorphised per backend, so insert
-/// sites compile down to the chosen representation with no dynamic
-/// dispatch. Tables are pooled ([`QueryState::acquire`]) — nested
-/// traversals reuse allocations instead of rebuilding them, which is what
-/// makes the dense backend's lazily-chunked rows pay off.
-struct QueryState<'a, S: StateSet> {
+/// Visited-state tables are pooled ([`QueryState::acquire`]): nested
+/// traversals reuse allocations instead of rebuilding them.
+struct QueryState<'a> {
     pag: &'a Pag,
     cfg: &'a SolverConfig,
     jmp: &'a dyn JmpStore,
@@ -228,7 +248,7 @@ struct QueryState<'a, S: StateSet> {
     /// Pool of visited-state tables reused across nested traversals.
     /// At `finalize` every table is back in the pool, so summing their
     /// footprints gives the query's peak state memory.
-    pool: Vec<S>,
+    pool: Vec<VisitSet>,
     /// Reverse-dependency recording (`record_footprints` only, DESIGN.md
     /// §12): one frame per in-flight footprinted computation. Reads are
     /// recorded into the innermost frame; a popped frame folds into its
@@ -247,7 +267,7 @@ struct QueryState<'a, S: StateSet> {
     memo_rch_fp: FxHashMap<(Dir, NodeId, CtxId), Option<Arc<Footprint>>>,
 }
 
-impl<'a, S: StateSet> QueryState<'a, S> {
+impl<'a> QueryState<'a> {
     fn new(
         pag: &'a Pag,
         cfg: &'a SolverConfig,
@@ -334,15 +354,14 @@ impl<'a, S: StateSet> QueryState<'a, S> {
 
     /// Takes a (reset) visited-state table from the pool, or creates one.
     #[inline]
-    fn acquire(&mut self) -> S {
+    fn acquire(&mut self) -> VisitSet {
         self.pool.pop().unwrap_or_default()
     }
 
-    /// Returns a table to the pool. Reset happens here (dense tables reset
-    /// in O(1) via an epoch bump) so `acquire` hands out ready-to-use
-    /// tables.
+    /// Returns a table to the pool. Reset happens here so `acquire` hands
+    /// out ready-to-use tables.
     #[inline]
-    fn release(&mut self, mut set: S) {
+    fn release(&mut self, mut set: VisitSet) {
         set.reset();
         self.pool.push(set);
     }
@@ -398,10 +417,9 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         self.stats.traversed_steps = self.work;
         // Every traversal returns its tables to the pool (release happens
         // before `?` propagation), so the pool holds the query's full state
-        // footprint here. Dense tables report allocated bitset words
-        // exactly; hash tables report a per-entry estimate — see
-        // `StateSet::approx_words`.
-        self.stats.state_words = self.pool.iter().map(S::approx_words).sum();
+        // footprint here, as a per-entry estimate (see
+        // `VisitSet::approx_words`).
+        self.stats.state_words = self.pool.iter().map(VisitSet::approx_words).sum();
         self.stats.mem_items = self.work
             + self.memo_pts.values().map(|v| v.len() as u64).sum::<u64>()
             + self
@@ -548,8 +566,8 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         &mut self,
         l: NodeId,
         c: CtxId,
-        pts_seen: &mut S,
-        visited: &mut S,
+        pts_seen: &mut VisitSet,
+        visited: &mut VisitSet,
         pts: &mut Vec<IState>,
     ) -> Result<(), Oob> {
         let ctx_sens = self.cfg.context_sensitive;
@@ -707,7 +725,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         &mut self,
         o: NodeId,
         c: CtxId,
-        visited: &mut S,
+        visited: &mut VisitSet,
         reached: &mut Vec<IState>,
     ) -> Result<(), Oob> {
         let ctx_sens = self.cfg.context_sensitive;
@@ -926,7 +944,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         &mut self,
         x: NodeId,
         c: CtxId,
-        alias: &mut S,
+        alias: &mut VisitSet,
         out: &mut FxHashSet<IState>,
     ) -> Result<(), Oob> {
         let pag = self.pag;
@@ -978,7 +996,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         &mut self,
         y: NodeId,
         c: CtxId,
-        alias: &mut S,
+        alias: &mut VisitSet,
         out: &mut FxHashSet<IState>,
     ) -> Result<(), Oob> {
         let pag = self.pag;
@@ -1004,5 +1022,72 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::VisitSet;
+    use parcfl_concurrent::CtxId;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Deterministic model test: a cheap LCG interleaves insert, contains,
+    /// `for_ctxs` and `reset` on one reused table against a
+    /// `BTreeMap<node, BTreeSet<ctx>>` model. After every reset no context
+    /// of the previous round may survive.
+    #[test]
+    fn visit_set_matches_btreemap_model() {
+        let mut seed = 42u64;
+        let mut rng = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as u32
+        };
+        let mut set = VisitSet::default();
+        let mut model: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+        for round in 0..6 {
+            for _ in 0..5000 {
+                let n = rng() % 300;
+                let c = rng() % 2000;
+                match rng() % 8 {
+                    0..=4 => assert_eq!(
+                        set.insert(n, CtxId::from_raw(c)),
+                        model.entry(n).or_default().insert(c),
+                        "insert ({n}, {c}) in round {round}"
+                    ),
+                    5 | 6 => assert_eq!(
+                        set.contains(n, CtxId::from_raw(c)),
+                        model.get(&n).is_some_and(|s| s.contains(&c)),
+                        "contains ({n}, {c}) in round {round}"
+                    ),
+                    _ => {
+                        // `for_ctxs` promises no order: compare sorted.
+                        let mut got: Vec<u32> = Vec::new();
+                        set.for_ctxs(n, |c| got.push(c.raw()));
+                        got.sort_unstable();
+                        let want: Vec<u32> = model
+                            .get(&n)
+                            .map_or_else(Vec::new, |s| s.iter().copied().collect());
+                        assert_eq!(got, want, "ctxs of node {n} in round {round}");
+                    }
+                }
+            }
+            let words = set.approx_words();
+            let before = std::mem::take(&mut model);
+            set.reset();
+            assert_eq!(set.approx_words(), words, "reset keeps allocations");
+            for (&n, ctxs) in &before {
+                let mut left = 0;
+                set.for_ctxs(n, |_| left += 1);
+                assert_eq!(left, 0, "node {n} keeps contexts after reset");
+                for &c in ctxs {
+                    assert!(
+                        !set.contains(n, CtxId::from_raw(c)),
+                        "({n}, {c}) survived reset"
+                    );
+                }
+            }
+        }
     }
 }

@@ -31,14 +31,13 @@ pub struct QueryStats {
     /// termination, Section III-B; implies `out_of_budget`).
     pub early_terminated: bool,
     /// Allocation-volume proxy: work-list/visited-set insertions plus
-    /// memoised result entries held by this query, **plus** the physical
-    /// visited-state words ([`QueryStats::state_words`]) so hash and dense
-    /// state backends are compared honestly. Used by the memory-usage
-    /// experiment (Section IV-D5).
+    /// memoised result entries held by this query, **plus** the
+    /// visited-state words ([`QueryStats::state_words`]). Used by the
+    /// memory-usage experiment (Section IV-D5).
     pub mem_items: u64,
-    /// Physical memory held by the query's visited-state tables, in `u64`
-    /// words: exact allocated bitset words under the dense backend, a
-    /// two-words-per-entry estimate under the hash backend (DESIGN.md §11).
+    /// Memory held by the query's visited-state tables, in `u64` words: a
+    /// two-words-per-entry estimate over each node's context-set capacity
+    /// (DESIGN.md §11).
     pub state_words: u64,
 }
 

@@ -46,13 +46,12 @@ pub struct RunStats {
     /// Allocation-volume proxy summed over queries (Section IV-D5).
     pub mem_items: u64,
     /// Largest single-query `mem_items` seen — the peak-resident proxy
-    /// recorded in `BENCH_solver.json`. Includes the physical
-    /// visited-state words (see `peak_state_words`), so dense-bitset and
-    /// hash state backends are compared honestly.
+    /// recorded in `BENCH_solver.json`. Includes the visited-state words
+    /// (see `peak_state_words`).
     pub peak_mem_items: u64,
-    /// Largest single-query [`QueryStats::state_words`] seen: peak
-    /// physical `u64` words held by visited-state tables (exact under the
-    /// dense backend, a per-entry estimate under hash — DESIGN.md §11).
+    /// Largest single-query [`QueryStats::state_words`] seen: peak `u64`
+    /// words held by visited-state tables, a per-entry estimate
+    /// (DESIGN.md §11).
     pub peak_state_words: u64,
     /// Contexts resident in the run's shared interner at the end
     /// (including the empty context); 0 when the store carries none.

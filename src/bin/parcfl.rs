@@ -68,11 +68,8 @@ fn usage() {
 
 USAGE:
   parcfl query <file.mj> [--var NAME]... [--budget N] [--insensitive]
-               [--state hash|dense]
       Print points-to sets (all application locals, or the named variables;
       names match the `local@Class.method` form, or any suffix of it).
-      --state picks the visited-state backend (default dense); both are
-      bit-identical on every answer (DESIGN.md §11).
   parcfl alias <file.mj> --var A --var B [--budget N]
       May-alias verdict for two variables.
   parcfl stats <file.mj>
@@ -80,12 +77,11 @@ USAGE:
   parcfl dot <file.mj>
       Graphviz DOT of the PAG on stdout.
   parcfl bench <name> [--threads N] [--mode naive|d|dq] [--threaded] [--stealing]
-               [--state hash|dense]
       Run one Table-I benchmark and report the speedup over SeqCFL.
       --threaded uses real OS threads instead of the virtual-time
       simulator; --stealing additionally dispatches through the
       work-stealing scheduler (implies --threaded) and reports per-worker
-      contention. --state selects the visited-state backend as in `query`.
+      contention.
   parcfl bench-diff <baseline.json> <current.json> [--gate none|deterministic|all]
                [--report PATH]
       Compare two BENCH_solver.json artifacts (table2 output). Exact
@@ -123,12 +119,13 @@ USAGE:
       Re-run a recorded counterexample snapshot exactly as captured and
       report whether it still disagrees with the oracle.
 
-Every subcommand rejects a `--flag` it does not know (exit code 2)."
+Every subcommand rejects a `--flag` it does not know, a value flag given
+without a value, and a malformed value (exit code 2)."
     );
 }
 
 /// The solver flags `solver_config` reads: value flags, then switches.
-const SOLVER_VALUES: [&str; 2] = ["--budget", "--state"];
+const SOLVER_VALUES: [&str; 1] = ["--budget"];
 const SOLVER_SWITCHES: [&str; 1] = ["--insensitive"];
 
 /// The flags subcommand `cmd` accepts: those that take a value, and
@@ -148,7 +145,7 @@ fn known_flags(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
             &["--threaded"],
         ),
         "bench" => (
-            vec!["--threads", "--mode", "--state"],
+            vec!["--threads", "--mode"],
             vec!["--threaded", "--stealing"],
         ),
         "bench-diff" => (vec!["--gate", "--report"], vec![]),
@@ -163,13 +160,18 @@ fn known_flags(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
 
 /// Exits with code 2, naming the flag, when `args` carries a `--flag`
 /// that is neither in `values` (which consume the next argument) nor in
-/// `switches`. Without this a mistyped or retired flag would be ignored
-/// silently and the command would run with its defaults.
+/// `switches`, or a value flag with no value after it. Without this a
+/// mistyped, retired or truncated flag would be ignored silently and the
+/// command would run with its defaults.
 fn reject_unknown_flags(cmd: &str, args: &[String], values: &[&str], switches: &[&str]) {
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if values.contains(&a) {
+            if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+                eprintln!("{cmd}: flag `{a}` expects a value");
+                exit(2);
+            }
             i += 1;
         } else if a.starts_with("--") && !switches.contains(&a) {
             eprintln!("{cmd}: unknown flag `{a}`");
@@ -183,6 +185,30 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// The value of `flag` parsed as an integer; exits with code 2, naming
+/// the flag, when it does not parse.
+fn int_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    flag_value(args, flag).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} expects an integer, got `{v}`");
+            exit(2);
+        })
+    })
+}
+
+/// The `--threads` worker count, `default` when absent. Exits with code 2
+/// on a malformed value or zero: a run needs at least one worker.
+fn threads_flag(args: &[String], default: usize) -> usize {
+    match int_flag(args, "--threads") {
+        Some(0) => {
+            eprintln!("--threads expects a positive integer, got `0`");
+            exit(2);
+        }
+        Some(n) => n,
+        None => default,
+    }
 }
 
 fn flag_values(args: &[String], flag: &str) -> Vec<String> {
@@ -223,20 +249,11 @@ fn load(args: &[String]) -> (Pag, Vec<parcfl::pag::NodeId>) {
 
 fn solver_config(args: &[String]) -> SolverConfig {
     let mut cfg = SolverConfig::default();
-    if let Some(b) = flag_value(args, "--budget") {
-        cfg.budget = b.parse().unwrap_or_else(|_| {
-            eprintln!("--budget expects an integer");
-            exit(2);
-        });
+    if let Some(b) = int_flag(args, "--budget") {
+        cfg.budget = b;
     }
     if args.iter().any(|a| a == "--insensitive") {
         cfg.context_sensitive = false;
-    }
-    if let Some(s) = flag_value(args, "--state") {
-        cfg.state = s.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
     }
     cfg
 }
@@ -333,9 +350,7 @@ fn cmd_dot(args: &[String]) {
 fn cmd_trace(args: &[String]) {
     let (pag, queries) = load(args);
     let out_path = flag_value(args, "--out").unwrap_or_else(|| "trace.json".to_string());
-    let threads: usize = flag_value(args, "--threads")
-        .map(|t| t.parse().expect("--threads expects an integer"))
-        .unwrap_or(4);
+    let threads = threads_flag(args, 4);
     let mode = match flag_value(args, "--mode").as_deref() {
         None | Some("dq") => Mode::DataSharingSched,
         Some("d") => Mode::DataSharing,
@@ -481,9 +496,7 @@ fn cmd_bench(args: &[String]) {
         eprintln!("unknown benchmark `{name}`");
         exit(1);
     };
-    let threads: usize = flag_value(args, "--threads")
-        .map(|t| t.parse().expect("--threads expects an integer"))
-        .unwrap_or(16);
+    let threads = threads_flag(args, 16);
     let mode = match flag_value(args, "--mode").as_deref() {
         None | Some("dq") => Mode::DataSharingSched,
         Some("d") => Mode::DataSharing,
@@ -496,21 +509,14 @@ fn cmd_bench(args: &[String]) {
     let stealing = args.iter().any(|a| a == "--stealing");
     let threaded = stealing || args.iter().any(|a| a == "--threaded");
     let b = parcfl::synth::build_bench(&profile);
-    let mut seq_solver = b.solver.clone();
-    if let Some(s) = flag_value(args, "--state") {
-        seq_solver.state = s.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
-    }
-    let seq = run_seq(&b.pag, &b.queries, &seq_solver);
+    let seq = run_seq(&b.pag, &b.queries, &b.solver);
     let backend = if threaded {
         Backend::Threaded
     } else {
         Backend::Simulated
     };
     let mut cfg = RunConfig::new(mode, threads, backend).with_stealing(stealing);
-    cfg.solver = seq_solver;
+    cfg.solver = b.solver.clone();
     let par = parcfl::runtime::run(&b.pag, &b.queries, &cfg);
     outln!(
         "{name}: {} queries; SeqCFL {} steps; ParCFL({threads}, {}) \
@@ -578,21 +584,8 @@ fn cmd_check(args: &[String]) {
         return;
     }
 
-    let iters: u64 = flag_value(args, "--fuzz")
-        .map(|n| {
-            n.parse().unwrap_or_else(|_| {
-                eprintln!("--fuzz expects an integer");
-                exit(2);
-            })
-        })
-        .unwrap_or(25);
-    let seed: u64 = match flag_value(args, "--seed") {
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("--seed expects an integer");
-            exit(2);
-        }),
-        None => test_seed(),
-    };
+    let iters: u64 = int_flag(args, "--fuzz").unwrap_or(25);
+    let seed: u64 = int_flag(args, "--seed").unwrap_or_else(test_seed);
     let cfg = FuzzConfig {
         iters,
         seed,

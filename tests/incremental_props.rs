@@ -6,12 +6,11 @@
 //!
 //! 1. **Graph layer** — a [`Pag`] produced by `apply_delta` behaves
 //!    bit-identically to a from-scratch frozen graph with the same edge
-//!    set: answers *and* deterministic step counters, on both state
-//!    backends.
+//!    set: answers *and* deterministic step counters.
 //! 2. **Session layer** — warm re-queries after `apply_delta` (jmp
 //!    store and schedule cache selectively invalidated by footprint)
-//!    answer exactly like a cold session on the edited graph, on both
-//!    state backends at workers {1, 2, 4, 8}.
+//!    answer exactly like a cold session on the edited graph at workers
+//!    {1, 2, 4, 8}.
 //! 3. **Battery layer** — a deliberately broken invalidation
 //!    (`chaos_skip_invalidation`) is caught by the differential fuzzer
 //!    and shrunk to a ≤ 10-edge, ≤ 3-edit counterexample that passes
@@ -19,19 +18,18 @@
 
 use parcfl::check::seed::derive;
 use parcfl::check::{run_fuzz, scenario_fails, test_seed, FuzzConfig, Scenario};
-use parcfl::core::{SolverConfig, StateBackend};
+use parcfl::core::SolverConfig;
 use parcfl::frontend::build_pag;
 use parcfl::pag::{DeltaOp, EdgeKind, NodeId, Pag, PagDelta};
 use parcfl::runtime::{run_seq, AnalysisSession, Backend, Mode};
 use parcfl::synth::mutate::{rebuild_with_edges, sample_edits};
 use parcfl::synth::{build_bench, Profile};
 
-fn ample(state: StateBackend) -> SolverConfig {
+fn ample() -> SolverConfig {
     SolverConfig {
         budget: 5_000_000,
         tau_finished: 0,
         tau_unfinished: 0,
-        state,
         ..SolverConfig::default()
     }
 }
@@ -53,8 +51,7 @@ fn assign_edge_between(pag: &Pag, a: &str, b: &str) -> parcfl::pag::Edge {
 ///
 /// For several seeded benches and edit scripts, apply the delta, then
 /// rebuild a graph from scratch with the identical edge set. Every
-/// observable — answers and traversed-step totals — must match on both
-/// state backends.
+/// observable — answers and traversed-step totals — must match.
 #[test]
 fn applied_delta_graph_is_bit_identical_to_cold_rebuild() {
     let seed = test_seed();
@@ -73,26 +70,24 @@ fn applied_delta_graph_is_bit_identical_to_cold_rebuild() {
         let rebuilt = rebuild_with_edges(&edited, edited.edges());
         assert_eq!(edited.edges(), rebuilt.edges(), "same canonical edge set");
         let queries: Vec<NodeId> = bench.queries.iter().copied().take(8).collect();
-        for state in [StateBackend::Dense, StateBackend::Hash] {
-            let solver = ample(state);
-            let a = run_seq(&edited, &queries, &solver);
-            let b = run_seq(&rebuilt, &queries, &solver);
-            assert_eq!(
-                a.sorted_answers(),
-                b.sorted_answers(),
-                "PARCFL_TEST_SEED={seed} i={i} {state:?}: answers"
-            );
-            assert_eq!(
-                a.stats.traversed_steps, b.stats.traversed_steps,
-                "PARCFL_TEST_SEED={seed} i={i} {state:?}: steps"
-            );
-        }
+        let solver = ample();
+        let a = run_seq(&edited, &queries, &solver);
+        let b = run_seq(&rebuilt, &queries, &solver);
+        assert_eq!(
+            a.sorted_answers(),
+            b.sorted_answers(),
+            "PARCFL_TEST_SEED={seed} i={i}: answers"
+        );
+        assert_eq!(
+            a.stats.traversed_steps, b.stats.traversed_steps,
+            "PARCFL_TEST_SEED={seed} i={i}: steps"
+        );
     }
     assert!(effective > 0, "every sampled edit script was a no-op");
 }
 
 /// Layer 2: warm incremental sessions equal cold sessions on the edited
-/// graph — workers {1, 2, 4, 8}, both state backends.
+/// graph — workers {1, 2, 4, 8}.
 #[test]
 fn incremental_session_equals_cold_session_across_grid() {
     let seed = test_seed();
@@ -101,33 +96,29 @@ fn incremental_session_equals_cold_session_across_grid() {
     // A guaranteed-effective script: remove a real edge, then a sampled op.
     let mut edits = vec![DeltaOp::RemoveEdge(bench.pag.edges()[0])];
     edits.extend(sample_edits(&bench.pag, derive(seed, 0xD3_0000), 1));
-    for state in [StateBackend::Dense, StateBackend::Hash] {
-        for workers in [1usize, 2, 4, 8] {
-            let solver = ample(state);
-            let mut warm_session = AnalysisSession::new(&bench.pag)
-                .with_solver(solver.clone())
-                .with_threads(workers);
-            warm_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-            let mut warm = None;
-            for op in &edits {
-                let mut d = PagDelta::new();
-                d.push(*op);
-                warm_session.apply_delta(&d);
-                warm =
-                    Some(warm_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated));
-            }
-            let edited = warm_session.pag().clone();
-            let mut cold_session = AnalysisSession::new(&edited)
-                .with_solver(solver.clone())
-                .with_threads(workers);
-            let cold = cold_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-            assert_eq!(
-                warm.expect("edit script is non-empty").sorted_answers(),
-                cold.sorted_answers(),
-                "PARCFL_TEST_SEED={seed} {state:?} workers={workers}: \
-                 warm re-query diverges from cold session"
-            );
+    for workers in [1usize, 2, 4, 8] {
+        let mut warm_session = AnalysisSession::new(&bench.pag)
+            .with_solver(ample())
+            .with_threads(workers);
+        warm_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        let mut warm = None;
+        for op in &edits {
+            let mut d = PagDelta::new();
+            d.push(*op);
+            warm_session.apply_delta(&d);
+            warm = Some(warm_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated));
         }
+        let edited = warm_session.pag().clone();
+        let mut cold_session = AnalysisSession::new(&edited)
+            .with_solver(ample())
+            .with_threads(workers);
+        let cold = cold_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        assert_eq!(
+            warm.expect("edit script is non-empty").sorted_answers(),
+            cold.sorted_answers(),
+            "PARCFL_TEST_SEED={seed} workers={workers}: \
+             warm re-query diverges from cold session"
+        );
     }
 }
 
@@ -160,7 +151,7 @@ fn removing_a_footprint_edge_invalidates_selectively() {
     let pag = two_chains();
     let queries = pag.application_locals();
     let mut session = AnalysisSession::new(&pag)
-        .with_solver(ample(StateBackend::Dense))
+        .with_solver(ample())
         .with_threads(2);
     session.submit(&queries, Mode::DataSharing, Backend::Simulated);
     let resident = session.store_entries() as u64;
@@ -179,7 +170,7 @@ fn removing_a_footprint_edge_invalidates_selectively() {
     assert_eq!(report.invalidated_jmps + report.retained_jmps, resident);
 
     let warm = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
-    let cold = run_seq(session.pag(), &queries, &ample(StateBackend::Dense));
+    let cold = run_seq(session.pag(), &queries, &ample());
     assert_eq!(warm.sorted_answers(), cold.sorted_answers());
     // The edit genuinely changed the answer: y0 no longer reaches the
     // object mk0 boxes.
@@ -211,7 +202,7 @@ fn deleting_a_call_site_invalidates_and_requeries_match() {
         })
         .expect("the mk0 call produced a ret edge into p0");
     let mut session = AnalysisSession::new(&pag)
-        .with_solver(ample(StateBackend::Dense))
+        .with_solver(ample())
         .with_threads(1);
     let before = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
     assert!(session.store_entries() > 0, "sharing run left warm entries");
@@ -235,7 +226,7 @@ fn deleting_a_call_site_invalidates_and_requeries_match() {
     assert_eq!(session.pag().call_site_count(), pag.call_site_count());
 
     let warm = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
-    let cold = run_seq(session.pag(), &queries, &ample(StateBackend::Dense));
+    let cold = run_seq(session.pag(), &queries, &ample());
     assert_eq!(warm.sorted_answers(), cold.sorted_answers());
     assert_eq!(pts_of(&warm, y0), 0, "severed call empties y0's answer");
 }
@@ -256,7 +247,7 @@ fn edit_emptying_a_schedule_cache_group_drops_only_it() {
     let c = pag.node_by_name("c@A.m").unwrap();
     let y = pag.node_by_name("y@A.m").unwrap();
     let mut session = AnalysisSession::new(&pag)
-        .with_solver(ample(StateBackend::Dense))
+        .with_solver(ample())
         .with_threads(2);
     // Two batches memoise two schedules: one entirely over the a/b/c
     // chain, one entirely over x/y.
@@ -278,7 +269,7 @@ fn edit_emptying_a_schedule_cache_group_drops_only_it() {
         "the x/y schedule survives"
     );
     let warm = session.submit(&[y], Mode::DataSharingSched, Backend::Simulated);
-    let cold = run_seq(session.pag(), &[y], &ample(StateBackend::Dense));
+    let cold = run_seq(session.pag(), &[y], &ample());
     assert_eq!(warm.sorted_answers(), cold.sorted_answers());
 }
 
@@ -290,7 +281,7 @@ fn noop_edit_invalidates_nothing() {
     let bench = build_bench(&Profile::tiny(7));
     let queries: Vec<NodeId> = bench.queries.iter().copied().take(6).collect();
     let mut session = AnalysisSession::new(&bench.pag)
-        .with_solver(ample(StateBackend::Dense))
+        .with_solver(ample())
         .with_threads(1);
     let first = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
     let resident = session.store_entries();
